@@ -30,13 +30,13 @@ fn main() {
         g.throughput_elems(trace.len() as u64);
         g.bench(&format!("replay/{name}"), || {
             let mut mem = MemorySystem::new(geom, timing);
-            trace.replay(&mut mem, map, None).unwrap()
+            replay_stream(&mut trace.stream(), &mut mem, map).unwrap()
         });
         g.throughput_elems(count as u64);
         g.bench(&format!("stream/{name}"), || {
             let mut mem = MemorySystem::new(geom, timing);
             let mut src = StridedSource::read(base, bytes, stride, count);
-            replay_stream(&mut src, &mut mem, map, None).unwrap()
+            replay_stream(&mut src, &mut mem, map).unwrap()
         });
     }
     g.finish();

@@ -26,7 +26,7 @@ fn measure(
         .expect("registry candidates are feasible");
     let mut mem = MemorySystem::new(geom, timing);
     let mut stream = family.col_stream(Direction::Read);
-    let stats = replay_stream(stream.as_mut(), &mut mem, family.map_kind(), None).expect("replay");
+    let stats = replay_stream(stream.as_mut(), &mut mem, family.map_kind()).expect("replay");
     let label = format!("{} p={:4}", family.name(), family.param());
     (label, stats.bandwidth_gbps(), stats.stats.activations)
 }

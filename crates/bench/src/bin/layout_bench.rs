@@ -7,12 +7,14 @@
 //! **open loop** through [`mem3d::replay_stream`] — requests issued
 //! back to back, no kernel pacing — so the number is what the *memory
 //! system* sustains for that family's column stream, the axis the
-//! layouts actually compete on. (The closed-loop driver cannot measure
-//! this: a zero kernel rate collapses its time-denominated prefetch
-//! window to nothing and serializes the phase into a latency-bound
-//! one-request pipeline.) The SRAM axis is the reorganization band
-//! double-buffer (`2·h·N·8` bytes), the on-chip price a family pays
-//! for its layout.
+//! layouts actually compete on. Open loop is the closed-loop driver's
+//! own span primitive ([`mem3d::MemorySystem::service_paced_span`])
+//! with an unbounded prefetch window and no kernel clock. (The driver's
+//! configuration cannot express it: a zero kernel rate collapses its
+//! time-denominated prefetch window to nothing and serializes the phase
+//! into a latency-bound one-request pipeline.) The SRAM axis is the
+//! reorganization band double-buffer (`2·h·N·8` bytes), the on-chip
+//! price a family pays for its layout.
 //!
 //! One JSON line per (family, N, geometry) lands in
 //! `BENCH_layouts.json` via `scripts/bench_record.sh`, and
@@ -46,7 +48,7 @@ fn measure(id: FamilyId, params: &LayoutParams, geom: Geometry, timing: TimingPa
         .expect("default params are feasible");
     let mut mem = MemorySystem::new(geom, timing);
     let mut reads = family.col_stream(Direction::Read);
-    let stats = replay_stream(reads.as_mut(), &mut mem, family.map_kind(), None).expect("replay");
+    let stats = replay_stream(reads.as_mut(), &mut mem, family.map_kind()).expect("replay");
     let reorg = family.reorg_rows() as u64;
     Row {
         family: id,

@@ -160,7 +160,7 @@ pub fn measure_height(
     let mut sim = MemorySystem::new(*mem.geometry(), *mem.timing());
     let mut stream = col_phase_stream(&layout, Direction::Read, layout.w);
     let stats: TraceStats =
-        replay_stream(&mut stream, &mut sim, layout.map_kind(), None).map_err(|e| e.to_string())?;
+        replay_stream(&mut stream, &mut sim, layout.map_kind()).map_err(|e| e.to_string())?;
     Ok(HeightMeasurement {
         h,
         w: layout.w,

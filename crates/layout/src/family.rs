@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use mem3d::{AccessTrace, AddressMapKind, Direction, RequestSource};
+use mem3d::{AddressMapKind, Direction, RequestSource};
 
 use crate::{
     band_block_write_stream, block_write_stream, col_phase_stream, optimal_h, row_phase_stream,
@@ -92,22 +92,6 @@ pub trait LayoutFamily: fmt::Debug + Send + Sync {
     /// reorganization.
     fn write_stream(&self) -> Box<dyn RequestSource + '_> {
         Box::new(row_phase_stream(self.layout(), Direction::Write))
-    }
-
-    /// Collected [`row_stream`](Self::row_stream) — thin wrapper over
-    /// [`crate::collect_stream`], never a separate implementation.
-    fn row_trace(&self, dir: Direction) -> AccessTrace {
-        crate::collect_stream(&mut *self.row_stream(dir))
-    }
-
-    /// Collected [`col_stream`](Self::col_stream).
-    fn col_trace(&self, dir: Direction) -> AccessTrace {
-        crate::collect_stream(&mut *self.col_stream(dir))
-    }
-
-    /// Collected [`write_stream`](Self::write_stream).
-    fn write_trace(&self) -> AccessTrace {
-        crate::collect_stream(&mut *self.write_stream())
     }
 }
 
@@ -461,7 +445,7 @@ impl LayoutFamily for Irredundant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mem3d::{Geometry, TimingParams};
+    use mem3d::{replay_stream, Geometry, MemorySystem, ServicePath, TimingParams};
 
     fn params(n: usize) -> LayoutParams {
         LayoutParams::for_device(n, &Geometry::default(), &TimingParams::default())
@@ -541,16 +525,41 @@ mod tests {
     }
 
     #[test]
-    fn traces_match_collected_streams_for_every_family() {
-        let p = params(64);
-        for spec in enumerate_candidates(&p) {
-            let fam = spec.build(&p).unwrap();
-            let trace = fam.col_trace(Direction::Read);
-            let collected = crate::collect_stream(&mut *fam.col_stream(Direction::Read));
-            assert_eq!(trace, collected, "{spec:?} col trace diverged");
-            let wt = fam.write_trace();
-            let wc = crate::collect_stream(&mut *fam.write_stream());
-            assert_eq!(wt, wc, "{spec:?} write trace diverged");
+    fn open_loop_replay_is_path_independent_for_every_family() {
+        // Family column streams hand `replay_stream` multi-beat runs, so
+        // its span fusion fires: the Fast path must match the scalar
+        // Reference path exactly, on the default device, with refresh
+        // windows, and on a non-power-of-two geometry whose row is one
+        // matrix row (the strided walks fuse there too).
+        let n = 128;
+        let odd = Geometry {
+            vaults: 3,
+            layers: 3,
+            banks_per_layer: 5,
+            rows_per_bank: 7,
+            row_bytes: n * 8,
+        };
+        for (geom, timing) in [
+            (Geometry::default(), TimingParams::default()),
+            (Geometry::default(), TimingParams::default().with_refresh()),
+            (odd, TimingParams::default()),
+        ] {
+            let p = LayoutParams::for_device(n, &geom, &timing);
+            for spec in enumerate_candidates(&p) {
+                let fam = spec.build(&p).expect("registry candidates build");
+                let mut fast = MemorySystem::new(geom, timing);
+                let mut reference = MemorySystem::new(geom, timing);
+                reference.set_service_path(ServicePath::Reference);
+                let kind = fam.map_kind();
+                let a = replay_stream(&mut *fam.col_stream(Direction::Read), &mut fast, kind);
+                let b = replay_stream(&mut *fam.col_stream(Direction::Read), &mut reference, kind);
+                assert_eq!(a, b, "{geom:?} {spec:?}");
+                assert_eq!(fast.stats(), reference.stats(), "{geom:?} {spec:?}");
+                assert_eq!(
+                    a.expect("in-range stream").stats.bytes_read,
+                    (n * n * 8) as u64
+                );
+            }
         }
     }
 }

@@ -17,9 +17,8 @@
 //! * lazy phase request-stream generators ([`row_phase_stream`],
 //!   [`col_phase_stream`], plus the write-back streams) with
 //!   controller-style burst coalescing as a stream adapter
-//!   ([`Coalescer`]) — O(1) memory per phase, with `*_trace` collectors
-//!   ([`row_phase_trace`], [`col_phase_trace`]) materializing the same
-//!   streams for small problems and golden tests;
+//!   ([`Coalescer`]) — O(1) memory per phase, with [`collect_stream`]
+//!   materializing any of them for small problems and golden tests;
 //! * the Eq. (1) block-height optimizer ([`optimal_h`]) and a
 //!   simulator-driven exhaustive search ([`search_optimal_h`]) that
 //!   validates it;
@@ -65,8 +64,7 @@ pub use matrix::{BlockDynamic, ColMajor, MatrixLayout, RowMajor, Tiled};
 pub use params::LayoutParams;
 pub use reorg::ReorgCost;
 pub use trace::{
-    band_block_write_stream, band_block_write_trace, block_write_stream, col_bursts_per_column,
-    col_phase_stream, col_phase_trace, collect_stream, row_phase_stream, row_phase_trace,
-    tile_band_write_stream, tile_band_write_trace, tile_sweep_stream, tile_sweep_trace, Coalescer,
+    band_block_write_stream, block_write_stream, col_bursts_per_column, col_phase_stream,
+    collect_stream, row_phase_stream, tile_band_write_stream, tile_sweep_stream, Coalescer,
     MAX_BURST_BYTES,
 };

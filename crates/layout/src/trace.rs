@@ -8,8 +8,8 @@
 //! holds O(1) state (a handful of loop counters plus the current
 //! coalescing run) and produces bursts on demand, so an N×N phase costs
 //! constant memory instead of the O(N²) a materialized trace needs.
-//! The `*_trace` convenience functions collect the same streams into
-//! [`AccessTrace`]s for small problems and golden tests.
+//! [`collect_stream`] materializes any of them into an [`AccessTrace`]
+//! for small problems and golden tests.
 
 use mem3d::{AccessTrace, Direction, RequestSource, TraceOp, TraceRun};
 
@@ -609,46 +609,15 @@ pub fn tile_band_write_stream(layout: &crate::Tiled) -> impl RequestSource + '_ 
     Coalescer::new(walk, Direction::Write, matrix_bytes(layout))
 }
 
-/// The one generic stream→trace collector. Every `*_trace` view — the
-/// free functions below and the [`crate::LayoutFamily`] trace methods —
-/// is a thin wrapper over this helper, so "trace ≡ collected stream"
-/// holds by construction for every family rather than by five
-/// hand-maintained pairs.
+/// Materializes any stream — including a boxed [`crate::LayoutFamily`]
+/// stream — into an [`AccessTrace`] for small problems and golden
+/// tests.
 pub fn collect_stream(src: &mut dyn RequestSource) -> AccessTrace {
     let mut trace = AccessTrace::new();
     for op in &mut *src {
         trace.push(op.addr, op.bytes, op.dir);
     }
     trace
-}
-
-/// [`row_phase_stream`], materialized.
-pub fn row_phase_trace(layout: &dyn MatrixLayout, dir: Direction) -> AccessTrace {
-    collect_stream(&mut row_phase_stream(layout, dir))
-}
-
-/// [`col_phase_stream`], materialized.
-///
-/// # Panics
-///
-/// Panics if `group` is zero or does not divide `n`.
-pub fn col_phase_trace(layout: &dyn MatrixLayout, dir: Direction, group: usize) -> AccessTrace {
-    collect_stream(&mut col_phase_stream(layout, dir, group))
-}
-
-/// [`band_block_write_stream`], materialized.
-pub fn band_block_write_trace(layout: &crate::BlockDynamic) -> AccessTrace {
-    collect_stream(&mut band_block_write_stream(layout))
-}
-
-/// [`tile_sweep_stream`], materialized.
-pub fn tile_sweep_trace(layout: &crate::Tiled, dir: Direction) -> AccessTrace {
-    collect_stream(&mut tile_sweep_stream(layout, dir))
-}
-
-/// [`tile_band_write_stream`], materialized.
-pub fn tile_band_write_trace(layout: &crate::Tiled) -> AccessTrace {
-    collect_stream(&mut tile_band_write_stream(layout))
 }
 
 /// Convenience: the number of burst requests the column phase generates
@@ -708,39 +677,10 @@ mod tests {
     }
 
     #[test]
-    fn streams_match_materialized_traces() {
-        let n = 128;
-        let p = params(n);
-        let ddl = BlockDynamic::with_height(&p, 16).unwrap();
-        let rm = RowMajor::new(&p);
-        let t = crate::Tiled::row_buffer_sized(&p).unwrap();
-        assert_eq!(
-            row_phase_stream(&rm, Direction::Read).collect_trace(),
-            row_phase_trace(&rm, Direction::Read)
-        );
-        assert_eq!(
-            col_phase_stream(&ddl, Direction::Read, ddl.w).collect_trace(),
-            col_phase_trace(&ddl, Direction::Read, ddl.w)
-        );
-        assert_eq!(
-            band_block_write_stream(&ddl).collect_trace(),
-            band_block_write_trace(&ddl)
-        );
-        assert_eq!(
-            tile_sweep_stream(&t, Direction::Read).collect_trace(),
-            tile_sweep_trace(&t, Direction::Read)
-        );
-        assert_eq!(
-            tile_band_write_stream(&t).collect_trace(),
-            tile_band_write_trace(&t)
-        );
-    }
-
-    #[test]
     fn row_phase_on_row_major_is_fully_coalesced() {
         let n = 64;
         let l = RowMajor::new(&params(n));
-        let t = row_phase_trace(&l, Direction::Read);
+        let t = collect_stream(&mut row_phase_stream(&l, Direction::Read));
         // Adjacent rows are themselves contiguous, so the whole 32 KiB
         // matrix coalesces into max-size bursts.
         assert_eq!(t.len(), (n * n * 8) / MAX_BURST_BYTES as usize);
@@ -752,7 +692,7 @@ mod tests {
     fn col_phase_on_row_major_cannot_coalesce() {
         let n = 64;
         let l = RowMajor::new(&params(n));
-        let t = col_phase_trace(&l, Direction::Read, 1);
+        let t = collect_stream(&mut col_phase_stream(&l, Direction::Read, 1));
         assert_eq!(t.len(), n * n, "every element is its own burst");
     }
 
@@ -761,7 +701,7 @@ mod tests {
         let n = 512;
         let p = params(n);
         let l = BlockDynamic::with_height(&p, 64).unwrap();
-        let t = col_phase_trace(&l, Direction::Read, 1);
+        let t = collect_stream(&mut col_phase_stream(&l, Direction::Read, 1));
         // Each column is n/h = 8 segments of h = 64 elements; the walk
         // occasionally merges a group boundary, so allow a small slack.
         let expect = n * (n / 64);
@@ -776,7 +716,7 @@ mod tests {
         let p = params(n);
         let l = BlockDynamic::with_height(&p, 64).unwrap();
         // Group = w = 16 columns: each block is one contiguous memory row.
-        let t = col_phase_trace(&l, Direction::Read, l.w);
+        let t = collect_stream(&mut col_phase_stream(&l, Direction::Read, l.w));
         assert_eq!(
             t.len(),
             (n / 64) * (n / l.w),
@@ -791,9 +731,9 @@ mod tests {
         let p = params(n);
         let l = BlockDynamic::with_height(&p, 16).unwrap();
         for t in [
-            row_phase_trace(&l, Direction::Read),
-            col_phase_trace(&l, Direction::Read, 1),
-            col_phase_trace(&l, Direction::Read, l.w),
+            collect_stream(&mut row_phase_stream(&l, Direction::Read)),
+            collect_stream(&mut col_phase_stream(&l, Direction::Read, 1)),
+            collect_stream(&mut col_phase_stream(&l, Direction::Read, l.w)),
         ] {
             assert_eq!(t.total_bytes(), (n * n * 8) as u64);
         }
@@ -805,14 +745,14 @@ mod tests {
         let n = 256;
         let p = params(n);
         let t = Tiled::row_buffer_sized(&p).unwrap(); // 32x32 tiles
-        let sweep = tile_sweep_trace(&t, Direction::Read);
+        let sweep = collect_stream(&mut tile_sweep_stream(&t, Direction::Read));
         assert_eq!(sweep.total_bytes(), (n * n * 8) as u64);
         // Each tile is one row-buffer-sized burst (up to coalescing of
         // address-adjacent tiles, capped at one row).
         assert!(sweep
             .iter()
             .all(|op| (op.bytes as usize).is_multiple_of(p.s * p.elem_bytes)));
-        let writes = tile_band_write_trace(&t);
+        let writes = collect_stream(&mut tile_band_write_stream(&t));
         assert_eq!(writes.total_bytes(), (n * n * 8) as u64);
         assert!(writes.iter().all(|op| op.dir == Direction::Write));
     }
@@ -822,7 +762,7 @@ mod tests {
         let n = 512;
         let p = params(n);
         let l = BlockDynamic::with_height(&p, 64).unwrap();
-        let t = band_block_write_trace(&l);
+        let t = collect_stream(&mut band_block_write_stream(&l));
         // Bursts coalesce across consecutive block indexes too, so each
         // op is a multiple of the 8 KiB row up to the cap.
         assert!(t
@@ -836,7 +776,7 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn col_phase_group_must_divide_n() {
         let l = RowMajor::new(&params(64));
-        let _ = col_phase_trace(&l, Direction::Read, 3);
+        let _ = collect_stream(&mut col_phase_stream(&l, Direction::Read, 3));
     }
 
     /// Expands `next_run()` beat by beat into the op sequence it stands

@@ -28,14 +28,16 @@
 //! Applications feed the device through the [`RequestSource`] trait: a
 //! lazy, pull-based stream of burst requests with a known byte total, so
 //! arbitrarily large access patterns replay in O(1) memory
-//! ([`replay_stream`]). [`AccessTrace`] is the materialized form of the
-//! same stream, kept for small traces and golden tests; the two convert
-//! freely ([`AccessTrace::stream`], [`RequestSource::collect_trace`]).
+//! ([`replay_stream`], the open-loop instance of the span primitive the
+//! closed-loop phase driver uses). [`AccessTrace`] is the materialized
+//! form of the same stream, kept for small traces and golden tests; the
+//! two convert freely ([`AccessTrace::stream`],
+//! [`RequestSource::collect_trace`]).
 //!
 //! # The request-servicing fast path
 //!
 //! Simulation wall clock is dominated by tens of millions of small
-//! requests, so the hot path is engineered around three ideas, each with
+//! requests, so the hot path is engineered around four ideas, each with
 //! a bit-identical scalar reference kept alongside it:
 //!
 //! * **shift/mask address maps** — [`AddressMap`] precomputes a
@@ -45,19 +47,16 @@
 //!   [`AddressMapKind`] and [`MemorySystem::service_burst`] decodes a
 //!   burst's start once, walking row fragments with incremental
 //!   location arithmetic ([`AddressMap::next_row_location`]);
-//! * **closed-form row streaming** — a TSV-bound run of same-row beats
-//!   resolves in one formula ([`VaultController::service_run`]) instead
-//!   of one scheduler round trip per beat;
 //! * **paced strided-run streaming** — the driver hands a whole strided
 //!   run ([`TraceRun`], from [`RequestSource::next_run`]) plus its
 //!   kernel-clock pacing law ([`RunPacing`]) to
-//!   [`MemorySystem::service_paced_run`]; when the address map proves
+//!   [`MemorySystem::service_paced_span`]; when the address map proves
 //!   every beat is a row miss in one bank with strictly ascending rows,
-//!   the controller replays the driver's exact per-beat arithmetic in a
-//!   fused register-resident loop — the paper's worst-case strided
+//!   the controller ([`VaultController::service_paced_run`]) replays the
+//!   driver's exact per-beat arithmetic in a fused register-resident loop — the paper's worst-case strided
 //!   column sweep drops from a full round trip per element to a few
 //!   arithmetic operations;
-//! * **event-driven span classification** — the layer above:
+//! * **event-driven span classification** —
 //!   [`MemorySystem::service_paced_span`] classifies a whole pulled run
 //!   against controller state and either fuses it (same-bank closed
 //!   form, or the cross-bank interleaved spans the optimized dynamic

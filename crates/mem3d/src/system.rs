@@ -1,8 +1,8 @@
 //! The complete memory device: all vaults behind one façade.
 
 use crate::{
-    AddressMap, AddressMapKind, BandwidthReport, Direction, Error, Geometry, Location, Picos,
-    Request, RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp, TraceRun,
+    AddressMap, AddressMapKind, BandwidthReport, Error, Geometry, Location, Picos, Request,
+    RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp, TraceRun,
     VaultController,
 };
 
@@ -38,7 +38,7 @@ pub enum SpanOutcome {
 /// Which request-servicing implementation the system uses.
 ///
 /// [`Fast`](ServicePath::Fast) is the default: cached shift/mask address
-/// maps, decode-once burst walks and closed-form row streaming.
+/// maps, decode-once burst walks and fused span servicing.
 /// [`Reference`](ServicePath::Reference) is the original scalar path —
 /// the map is rebuilt per call and every row fragment is decoded with
 /// the div/mod chain — kept as the golden reference the differential
@@ -243,26 +243,6 @@ impl MemorySystem {
         Ok(RequestOutcome { data_start, ..out })
     }
 
-    /// Serves a request addressed by flat byte address through `map_kind`.
-    ///
-    /// Equivalent to [`service_burst`](Self::service_burst) with the
-    /// fields spelled out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfRange`] when the address (plus length) falls
-    /// outside the device.
-    pub fn service_addr(
-        &mut self,
-        map_kind: AddressMapKind,
-        addr: u64,
-        bytes: u32,
-        dir: Direction,
-        at: Picos,
-    ) -> Result<RequestOutcome> {
-        self.service_burst(map_kind, TraceOp { addr, bytes, dir }, at)
-    }
-
     /// Serves one coalesced burst arriving at `at`, addressed by flat
     /// byte address through `map_kind`.
     ///
@@ -286,9 +266,7 @@ impl MemorySystem {
     ) -> Result<RequestOutcome> {
         match self.path {
             ServicePath::Fast => self.service_burst_fast(map_kind, op, at),
-            ServicePath::Reference => {
-                self.service_addr_reference(map_kind, op.addr, op.bytes, op.dir, at)
-            }
+            ServicePath::Reference => self.service_burst_reference(map_kind, op, at),
         }
     }
 
@@ -352,22 +330,16 @@ impl MemorySystem {
     }
 
     /// The original scalar implementation of
-    /// [`service_addr`](Self::service_addr), kept verbatim as the golden
+    /// [`service_burst`](Self::service_burst), kept verbatim as the golden
     /// reference: the address map is rebuilt on every call and every row
     /// fragment is decoded with the div/mod chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfRange`] when the address (plus length) falls
-    /// outside the device and [`Error::BadRequest`] for empty requests.
-    pub fn service_addr_reference(
+    fn service_burst_reference(
         &mut self,
         map_kind: AddressMapKind,
-        addr: u64,
-        bytes: u32,
-        dir: Direction,
+        op: TraceOp,
         at: Picos,
     ) -> Result<RequestOutcome> {
+        let TraceOp { addr, bytes, dir } = op;
         if bytes == 0 {
             return Err(Error::BadRequest("zero-length request".into()));
         }
@@ -412,109 +384,12 @@ impl MemorySystem {
         Ok(RequestOutcome { data_start, ..out })
     }
 
-    /// Serves a run of `beats` back-to-back accesses of `bytes` each,
-    /// starting at `addr` and all landing in the **same memory row** —
-    /// exactly equivalent to `beats` calls of
-    /// [`service_addr`](Self::service_addr) at consecutive addresses,
-    /// all arriving at `at`, but resolved through the controller's
-    /// closed-form streaming fast path when eligible.
-    ///
-    /// Returns the first beat's `data_start` and `row_hit` with the last
-    /// beat's `done`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BadRequest`] for empty runs or runs that cross a
-    /// row boundary, and [`Error::OutOfRange`] when the run falls
-    /// outside the device.
-    pub fn service_run(
-        &mut self,
-        map_kind: AddressMapKind,
-        addr: u64,
-        bytes: u32,
-        beats: u32,
-        dir: Direction,
-        at: Picos,
-    ) -> Result<RequestOutcome> {
-        if bytes == 0 || beats == 0 {
-            return Err(Error::BadRequest("zero-length run".into()));
-        }
-        let total = bytes as u64 * beats as u64;
-        let end = addr + total - 1;
-        if end >= self.capacity {
-            return Err(Error::OutOfRange {
-                addr: end,
-                capacity: self.capacity,
-            });
-        }
-        let loc = self.maps[map_kind.index()].decode(addr)?;
-        if loc.col as u64 + total > self.geom.row_bytes as u64 {
-            return Err(Error::BadRequest("run crosses a row boundary".into()));
-        }
-        Ok(self.controllers[loc.vault].service_run(
-            Request {
-                loc,
-                bytes,
-                dir,
-                at,
-            },
-            beats,
-        ))
-    }
-
-    /// Attempts to serve a prefix of a strided run under the driver's
-    /// pacing law in one fused pass
-    /// ([`VaultController::service_paced_run`]).
-    ///
-    /// Eligibility is decided here, conservatively; `None` means "not
-    /// at this position" and the caller must fall back to its scalar
-    /// per-beat loop (which also covers every error case — an eligible
-    /// beat can never fail). A run qualifies when the fast path is
-    /// active, refresh is off, each beat fits inside one memory row,
-    /// and [`AddressMap::stride_run_location`] proves the beats advance
-    /// through strictly ascending rows of one bank. The returned
-    /// [`RunServed::beats`] may be less than `run.beats` — a run that
-    /// crosses into the next bank is served bank stretch by bank
-    /// stretch, so the caller re-attempts with the remainder.
-    pub fn service_paced_run(
-        &mut self,
-        map_kind: AddressMapKind,
-        run: crate::TraceRun,
-        pacing: &crate::RunPacing,
-    ) -> Option<crate::RunServed> {
-        if self.path != ServicePath::Fast
-            || self.timing.refresh_enabled()
-            || run.beats < 2
-            || run.op.bytes == 0
-        {
-            return None;
-        }
-        let row_bytes = self.geom.row_bytes as u64;
-        // Each beat must stay inside its row: the fused loop never
-        // splits a beat into fragments.
-        if run.op.addr % row_bytes + run.op.bytes as u64 > row_bytes {
-            return None;
-        }
-        let (loc, row_step, fit) =
-            self.maps[map_kind.index()].stride_run_location(run.op.addr, run.stride, run.beats)?;
-        if fit < 2 {
-            return None;
-        }
-        Some(self.controllers[loc.vault].service_paced_run(
-            loc,
-            run.op.bytes,
-            run.op.dir,
-            row_step,
-            fit,
-            pacing,
-        ))
-    }
-
     /// Classifies a pulled run against register-resident controller
     /// state and advances the clock across the longest conflict-free
     /// span it can prove — the entry point of the **event-driven
-    /// skip-ahead core** the phase driver (`fft2d::run_phase`) uses on
-    /// the [`Fast`](ServicePath::Fast) path.
+    /// skip-ahead core** the phase driver (`fft2d::run_phase`) and
+    /// open-loop [`replay_stream`](crate::replay_stream) use on the
+    /// [`Fast`](ServicePath::Fast) path.
     ///
     /// Span classes, in the order they are tried:
     ///
@@ -685,7 +560,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Location;
+    use crate::{Direction, Location};
 
     fn sys() -> MemorySystem {
         MemorySystem::new(Geometry::default(), TimingParams::default())
@@ -768,49 +643,52 @@ mod tests {
     fn cross_bank_span_matches_the_scalar_beat_loop() {
         // Class-2 spans (whole-row strides hopping vaults each beat —
         // the grouped block-DDL column walk) must replay the driver's
-        // per-beat arithmetic exactly, with refresh off *and* on.
+        // per-beat arithmetic exactly, with refresh off *and* on, under
+        // kernel pacing and under open-loop replay's unbounded window.
+        let geom = Geometry::default();
+        let paced = RunPacing {
+            t_kernel_fs: 5_000_000,
+            window_fs: 2_000_000,
+            op_fs: geom.row_bytes as u128 * 31_250,
+            floor: Picos(100),
+            probe_beat: Some(7),
+        };
+        let kind = AddressMapKind::VaultInterleaved;
+        let row = geom.row_bytes as u64;
+        let run = read_run(3 * row, geom.row_bytes as u32, 64, row);
         for timing in [
             TimingParams::default(),
             TimingParams::default().with_refresh(),
         ] {
-            let geom = Geometry::default();
-            let kind = AddressMapKind::VaultInterleaved;
-            let mut fused = MemorySystem::new(geom, timing);
-            let mut scalar = MemorySystem::new(geom, timing);
-            let row = geom.row_bytes as u64;
-            let run = read_run(3 * row, geom.row_bytes as u32, 64, row);
-            let pacing = RunPacing {
-                t_kernel_fs: 5_000_000,
-                window_fs: 2_000_000,
-                op_fs: geom.row_bytes as u128 * 31_250,
-                floor: Picos(100),
-                probe_beat: Some(7),
-            };
-            let outcome = fused.service_paced_span(kind, run, &pacing);
-            let SpanOutcome::Served(served) = outcome else {
-                panic!("expected a fused cross-bank span, got {outcome:?}");
-            };
-            // The driver's scalar loop, replayed on a twin device.
-            let mut t_fs = pacing.t_kernel_fs;
-            let mut last = Picos::ZERO;
-            let mut probe = None;
-            let mut op = run.op;
-            for i in 0..run.beats as u64 {
-                let at =
-                    Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
-                let out = scalar.service_burst(kind, op, at).unwrap();
-                t_fs = t_fs.max(out.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
-                last = last.max(out.done);
-                if pacing.probe_beat == Some(i) {
-                    probe = Some(out.done);
+            for pacing in [paced, crate::trace::OPEN_LOOP] {
+                let mut fused = MemorySystem::new(geom, timing);
+                let mut scalar = MemorySystem::new(geom, timing);
+                let outcome = fused.service_paced_span(kind, run, &pacing);
+                let SpanOutcome::Served(served) = outcome else {
+                    panic!("expected a fused cross-bank span, got {outcome:?}");
+                };
+                // The driver's scalar loop, replayed on a twin device.
+                let mut t_fs = pacing.t_kernel_fs;
+                let mut last = Picos::ZERO;
+                let mut probe = None;
+                let mut op = run.op;
+                for i in 0..run.beats as u64 {
+                    let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs))
+                        .max(pacing.floor);
+                    let out = scalar.service_burst(kind, op, at).unwrap();
+                    t_fs = t_fs.max(out.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
+                    last = last.max(out.done);
+                    if pacing.probe_beat == Some(i) {
+                        probe = Some(out.done);
+                    }
+                    op.addr += run.stride;
                 }
-                op.addr += run.stride;
+                assert_eq!(served.beats, run.beats);
+                assert_eq!(served.t_kernel_fs, t_fs);
+                assert_eq!(served.last_done, last);
+                assert_eq!(served.probe_done, probe);
+                assert_eq!(fused.stats(), scalar.stats());
             }
-            assert_eq!(served.beats, run.beats);
-            assert_eq!(served.t_kernel_fs, t_fs);
-            assert_eq!(served.last_done, last);
-            assert_eq!(served.probe_done, probe);
-            assert_eq!(fused.stats(), scalar.stats());
         }
     }
 
@@ -900,15 +778,17 @@ mod tests {
         assert!(m.service(Request::read(loc, 8)).is_ok());
     }
 
+    fn op(addr: u64, bytes: u32, dir: Direction) -> TraceOp {
+        TraceOp { addr, bytes, dir }
+    }
+
     #[test]
-    fn service_addr_round_trips_stats() {
+    fn service_burst_round_trips_stats() {
         let mut m = sys();
         let out = m
-            .service_addr(
+            .service_burst(
                 AddressMapKind::VaultInterleaved,
-                0,
-                64,
-                Direction::Write,
+                op(0, 64, Direction::Write),
                 Picos::ZERO,
             )
             .unwrap();
@@ -917,23 +797,16 @@ mod tests {
     }
 
     #[test]
-    fn service_addr_rejects_overflow() {
+    fn service_burst_rejects_overflow() {
         let mut m = sys();
         let cap = m.geometry().capacity_bytes();
         for path in [ServicePath::Fast, ServicePath::Reference] {
             m.set_service_path(path);
-            assert!(m
-                .service_addr(
-                    AddressMapKind::Chunked,
-                    cap - 4,
-                    8,
-                    Direction::Read,
-                    Picos::ZERO
-                )
-                .is_err());
-            assert!(m
-                .service_addr(AddressMapKind::Chunked, 0, 0, Direction::Read, Picos::ZERO)
-                .is_err());
+            for bad in [op(cap - 4, 8, Direction::Read), op(0, 0, Direction::Read)] {
+                assert!(m
+                    .service_burst(AddressMapKind::Chunked, bad, Picos::ZERO)
+                    .is_err());
+            }
         }
         assert_eq!(m.stats().requests, 0);
     }
@@ -961,75 +834,14 @@ mod tests {
                     Direction::Write
                 };
                 let at = Picos(i as u64 * 1000);
-                let a = fast.service_addr(kind, addr, bytes, dir, at).unwrap();
-                let b = reference.service_addr(kind, addr, bytes, dir, at).unwrap();
+                let a = fast.service_burst(kind, op(addr, bytes, dir), at).unwrap();
+                let b = reference
+                    .service_burst(kind, op(addr, bytes, dir), at)
+                    .unwrap();
                 assert_eq!(a, b, "{kind:?} burst at {addr}+{bytes}");
             }
             assert_eq!(fast.stats(), reference.stats(), "{kind:?} stats");
         }
-    }
-
-    #[test]
-    fn service_run_matches_scalar_beats() {
-        for kind in AddressMapKind::ALL {
-            let mut run = sys();
-            let mut scalar = sys();
-            let base = 4096u64;
-            let out_run = run
-                .service_run(kind, base, 8, 32, Direction::Read, Picos(500))
-                .unwrap();
-            let mut first = None;
-            let mut last = None;
-            for i in 0..32u64 {
-                let o = scalar
-                    .service_addr(kind, base + i * 8, 8, Direction::Read, Picos(500))
-                    .unwrap();
-                first.get_or_insert(o.data_start);
-                last = Some(o.done);
-            }
-            assert_eq!(out_run.data_start, first.unwrap(), "{kind:?}");
-            assert_eq!(out_run.done, last.unwrap(), "{kind:?}");
-            assert_eq!(run.stats(), scalar.stats(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn service_run_rejects_bad_shapes() {
-        let mut m = sys();
-        let row = m.geometry().row_bytes as u64;
-        // Crossing a row boundary is the caller's bug, not a split.
-        assert!(m
-            .service_run(
-                AddressMapKind::Chunked,
-                row - 8,
-                8,
-                2,
-                Direction::Read,
-                Picos::ZERO
-            )
-            .is_err());
-        assert!(m
-            .service_run(
-                AddressMapKind::Chunked,
-                0,
-                8,
-                0,
-                Direction::Read,
-                Picos::ZERO
-            )
-            .is_err());
-        let cap = m.geometry().capacity_bytes();
-        assert!(m
-            .service_run(
-                AddressMapKind::Chunked,
-                cap - 8,
-                8,
-                2,
-                Direction::Read,
-                Picos::ZERO
-            )
-            .is_err());
-        assert_eq!(m.stats().requests, 0);
     }
 
     #[test]
@@ -1038,30 +850,20 @@ mod tests {
         // far faster than N-strided access under the Chunked map.
         let mut m = sys();
         let n = 1024u64;
-        for i in 0..n {
-            m.service_addr(
-                AddressMapKind::Chunked,
-                i * 8,
-                8,
-                Direction::Read,
-                Picos::ZERO,
-            )
-            .unwrap();
-        }
-        let seq = m.stats().bandwidth_gbps();
-        m.reset();
-        let stride = 1024 * 8;
-        for i in 0..n {
-            m.service_addr(
-                AddressMapKind::Chunked,
-                i * stride,
-                8,
-                Direction::Read,
-                Picos::ZERO,
-            )
-            .unwrap();
-        }
-        let strided = m.stats().bandwidth_gbps();
+        let mut bandwidth = |stride: u64| {
+            m.reset();
+            for i in 0..n {
+                m.service_burst(
+                    AddressMapKind::Chunked,
+                    op(i * stride, 8, Direction::Read),
+                    Picos::ZERO,
+                )
+                .unwrap();
+            }
+            m.stats().bandwidth_gbps()
+        };
+        let seq = bandwidth(8);
+        let strided = bandwidth(1024 * 8);
         assert!(
             seq > strided * 10.0,
             "sequential {seq} GB/s should dwarf strided {strided} GB/s"

@@ -1,12 +1,13 @@
 //! Cross-crate consistency: components developed in different crates
 //! must agree where their semantics overlap.
 
+use fft2d::{run_phase, DriverConfig};
 use fft_kernel::{digit_reversal, fft, Cplx, DppUnit, FftDirection, KernelConfig, StreamingFft};
 use layout::{
-    band_block_write_trace, col_phase_trace, row_phase_trace, BlockDynamic, LayoutParams,
-    MatrixLayout, RowMajor,
+    band_block_write_stream, col_phase_stream, collect_stream, row_phase_stream, BlockDynamic,
+    LayoutParams, MatrixLayout, RowMajor,
 };
-use mem3d::{Direction, Geometry, MemorySystem, Picos, TimingParams};
+use mem3d::{replay_stream, Direction, Geometry, MemorySystem, Picos, TimingParams};
 use permute::{Permutation, StreamingPermuter, TileTransposer};
 use sim_util::{prop_assert, prop_assert_eq, prop_assume, prop_check};
 
@@ -79,10 +80,10 @@ fn every_phase_trace_moves_each_byte_exactly_once() {
     let rm = RowMajor::new(&p);
     let matrix_bytes = (n * n * 8) as u64;
     for trace in [
-        row_phase_trace(&rm, Direction::Read),
-        col_phase_trace(&rm, Direction::Read, 1),
-        col_phase_trace(&ddl, Direction::Read, ddl.w),
-        band_block_write_trace(&ddl),
+        collect_stream(&mut row_phase_stream(&rm, Direction::Read)),
+        collect_stream(&mut col_phase_stream(&rm, Direction::Read, 1)),
+        collect_stream(&mut col_phase_stream(&ddl, Direction::Read, ddl.w)),
+        collect_stream(&mut band_block_write_stream(&ddl)),
     ] {
         assert_eq!(trace.total_bytes(), matrix_bytes);
     }
@@ -90,30 +91,54 @@ fn every_phase_trace_moves_each_byte_exactly_once() {
 
 #[test]
 fn replaying_layout_traces_never_leaves_the_device() {
-    // Every trace generated from a layout must decode successfully on
+    // Every stream generated from a layout must decode successfully on
     // the geometry the layout was derived from.
     let n = 256;
     let p = params(n);
     let ddl = BlockDynamic::with_height(&p, 64).unwrap();
     let mut mem = MemorySystem::new(Geometry::default(), TimingParams::default());
-    let trace = col_phase_trace(&ddl, Direction::Read, ddl.w);
-    let stats = trace.replay(&mut mem, ddl.map_kind(), None).unwrap();
+    let mut stream = col_phase_stream(&ddl, Direction::Read, ddl.w);
+    let stats = replay_stream(&mut stream, &mut mem, ddl.map_kind()).unwrap();
     assert_eq!(stats.stats.bytes_read, (n * n * 8) as u64);
 }
 
 #[test]
 fn paced_replay_never_beats_open_loop() {
+    // The two consumers of one column stream: the closed-loop driver
+    // paces arrivals by the kernel's consumption, open-loop replay
+    // issues every beat at t = 0. Later arrivals can only delay the
+    // device, so no kernel rate lets the paced phase beat open loop.
     let n = 256;
     let p = params(n);
     let ddl = BlockDynamic::with_height(&p, 64).unwrap();
-    let trace = col_phase_trace(&ddl, Direction::Read, ddl.w);
     let mut open = MemorySystem::new(Geometry::default(), TimingParams::default());
-    let open_stats = trace.replay(&mut open, ddl.map_kind(), None).unwrap();
-    let mut paced = MemorySystem::new(Geometry::default(), TimingParams::default());
-    let paced_stats = trace
-        .replay(&mut paced, ddl.map_kind(), Some(Picos::from_ns(300)))
+    let mut stream = col_phase_stream(&ddl, Direction::Read, ddl.w);
+    let open_stats = replay_stream(&mut stream, &mut open, ddl.map_kind()).unwrap();
+    for ps_per_byte in [31.25, 4.0, 0.5] {
+        let cfg = DriverConfig {
+            ps_per_byte,
+            window_bytes: 256 * 1024,
+            write_delay: Picos::from_ns(1000),
+            latency_probe_bytes: 0,
+        };
+        let mut paced = MemorySystem::new(Geometry::default(), TimingParams::default());
+        let report = run_phase(
+            &mut paced,
+            &cfg,
+            &mut col_phase_stream(&ddl, Direction::Read, ddl.w),
+            ddl.map_kind(),
+            None,
+            Picos::ZERO,
+        )
         .unwrap();
-    assert!(open_stats.bandwidth_gbps() >= paced_stats.bandwidth_gbps());
+        assert_eq!(report.read_bytes, open_stats.stats.bytes_read);
+        assert!(
+            open_stats.bandwidth_gbps() >= report.read_bandwidth_gbps(),
+            "{ps_per_byte} ps/B: paced {} GB/s beat open loop {} GB/s",
+            report.read_bandwidth_gbps(),
+            open_stats.bandwidth_gbps()
+        );
+    }
 }
 
 #[test]

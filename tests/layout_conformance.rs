@@ -13,8 +13,8 @@
 //!    `next_run` hands out beat by beat reproduces the exact op
 //!    sequence `next()` would have produced: the fast-path hook may
 //!    group the stream, never reorder or merge it.
-//! 3. **Trace thinness** — the collected `*_trace` forms are the
-//!    streams, materialized: same ops, same order.
+//! 3. **Trace thinness** — a stream materialized with
+//!    [`layout::collect_stream`] is the stream: same ops, same order.
 //! 4. **Phase bit-identity** — for the four families that predate the
 //!    trait (row-major, col-major, tiled, block-DDL), a `run_phase`
 //!    fed by the family's streams produces a [`fft2d::PhaseReport`]
@@ -22,9 +22,9 @@
 
 use fft2d::{run_phase, DriverConfig, PhaseReport};
 use layout::{
-    band_block_write_stream, col_phase_stream, enumerate_candidates, optimal_h, row_phase_stream,
-    tile_sweep_stream, BlockDynamic, ColMajor, FamilyId, LayoutParams, MatrixLayout, RowMajor,
-    Tiled,
+    band_block_write_stream, col_phase_stream, collect_stream, enumerate_candidates, optimal_h,
+    row_phase_stream, tile_sweep_stream, BlockDynamic, ColMajor, FamilyId, LayoutParams,
+    MatrixLayout, RowMajor, Tiled,
 };
 use mem3d::{
     Direction, Geometry, MemorySystem, Picos, RequestSource, TimingParams, TraceOp, TraceRun,
@@ -143,14 +143,14 @@ fn traces_are_materialized_streams() {
         let fam = spec.build(&p).expect("registry candidates build");
         for dir in [Direction::Read, Direction::Write] {
             let streamed: Vec<TraceOp> = fam.col_stream(dir).collect();
-            let traced: Vec<TraceOp> = fam.col_trace(dir).stream().collect();
+            let traced: Vec<TraceOp> = collect_stream(&mut *fam.col_stream(dir)).stream().collect();
             assert_eq!(streamed, traced, "{spec:?} col {dir:?}");
             let streamed: Vec<TraceOp> = fam.row_stream(dir).collect();
-            let traced: Vec<TraceOp> = fam.row_trace(dir).stream().collect();
+            let traced: Vec<TraceOp> = collect_stream(&mut *fam.row_stream(dir)).stream().collect();
             assert_eq!(streamed, traced, "{spec:?} row {dir:?}");
         }
         let streamed: Vec<TraceOp> = fam.write_stream().collect();
-        let traced: Vec<TraceOp> = fam.write_trace().stream().collect();
+        let traced: Vec<TraceOp> = collect_stream(&mut *fam.write_stream()).stream().collect();
         assert_eq!(streamed, traced, "{spec:?} write");
     }
 }
