@@ -8,7 +8,7 @@
 //! back to back, no kernel pacing — so the number is what the *memory
 //! system* sustains for that family's column stream, the axis the
 //! layouts actually compete on. Open loop is the closed-loop driver's
-//! own span primitive ([`mem3d::MemorySystem::service_paced_span`])
+//! own span primitive ([`mem3d::MemorySystem::service_span`])
 //! with an unbounded prefetch window and no kernel clock. (The driver's
 //! configuration cannot express it: a zero kernel rate collapses its
 //! time-denominated prefetch window to nothing and serializes the phase

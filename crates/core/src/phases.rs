@@ -37,8 +37,8 @@
 //!   differentially proven equal to it.
 
 use mem3d::{
-    AddressMapKind, MemorySystem, Picos, RequestSource, RunPacing, RunServed, ServicePath,
-    SpanOutcome, Stats, TraceOp,
+    AddressMapKind, MemorySystem, Picos, RequestSource, RunPacing, RunServed, ServicePath, Stats,
+    TraceOp,
 };
 use sim_util::pool::ExclusivePool;
 
@@ -179,9 +179,9 @@ fn hit_rate(hits: u64, misses: u64) -> f64 {
 
 const FS_PER_PS: u128 = 1_000;
 
-/// Checked fs→ps conversion; must match what the memory system's fused
-/// span loops use ([`Picos::from_fs_clock`]) or the paths drift apart
-/// at the clock ceiling.
+/// Checked fs→ps conversion; must match what
+/// [`MemorySystem::service_span`] uses ([`Picos::from_fs_clock`]) or
+/// the paths drift apart at the clock ceiling.
 fn fs_to_picos(fs: u128) -> Picos {
     Picos::from_fs_clock(fs)
 }
@@ -236,11 +236,26 @@ impl DriverState {
     ) -> Result<Self, Fft2dError> {
         debug_assert!(pending.is_empty(), "pooled queue must arrive cleared");
         let rate_fs = fs_per_byte(cfg.ps_per_byte)?;
+        // A huge finite rate saturates `rate_fs`; reject it here, where
+        // the window and the largest possible beat are priced, instead
+        // of letting the clock arithmetic overflow mid-phase.
+        let overflow = || {
+            Fft2dError::Driver(format!(
+                "kernel rate {} ps/byte overflows the driver clock",
+                cfg.ps_per_byte
+            ))
+        };
+        let window_fs = u128::from(cfg.window_bytes)
+            .checked_mul(rate_fs)
+            .ok_or_else(overflow)?;
+        u128::from(u32::MAX)
+            .checked_mul(rate_fs)
+            .ok_or_else(overflow)?;
         Ok(DriverState {
             read_map,
             write_map,
             rate_fs,
-            window_fs: cfg.window_bytes as u128 * rate_fs,
+            window_fs,
             write_delay: cfg.write_delay,
             latency_probe_bytes: cfg.latency_probe_bytes,
             start,
@@ -328,7 +343,7 @@ impl DriverState {
         (nb <= beats as u64).then(|| nb - 1)
     }
 
-    /// The pacing law handed to the memory system's fused span loops —
+    /// The pacing law handed to [`MemorySystem::service_span`] —
     /// exactly the arithmetic [`scalar_beat`](Self::scalar_beat) applies
     /// per beat, packaged as registers.
     fn pacing(&self, op_bytes: u32, probe_beat: Option<u64>) -> RunPacing {
@@ -341,10 +356,11 @@ impl DriverState {
         }
     }
 
-    /// Folds a fused span's result back into the driver state.
-    fn apply_served(&mut self, served: &RunServed, op_bytes: u32) {
+    /// Folds a served run (`bytes` payload in total) back into the
+    /// driver state.
+    fn apply_served(&mut self, served: &RunServed, bytes: u64) {
         self.t_kernel_fs = served.t_kernel_fs;
-        self.consumed += served.beats as u64 * op_bytes as u64;
+        self.consumed += bytes;
         self.last_beat = self.last_beat.max(served.last_done);
         if let Some(p) = served.probe_done {
             self.probe_done = p;
@@ -409,41 +425,29 @@ fn drive_reference(
 }
 
 /// The event-driven skip-ahead loop: reads are pulled run-granular and
-/// each remainder is classified by
-/// [`MemorySystem::service_paced_span`] — a fused span advances the
-/// clock in one pass, a contention boundary steps exactly one scalar
-/// beat before reclassifying, and a structurally unfusable run drops
-/// its probe flag so the rest expands through the scalar body at one
-/// branch per run, not a failed fusion attempt per beat (the
-/// amortized run-probe gate that caused the optimized-arch
-/// pessimization this core replaces). Runs are only probed when
-/// nothing needs per-beat attention, i.e. there is no write side.
+/// each run is served whole by [`MemorySystem::service_span`], which
+/// fuses what it can prove and paces the rest beat by beat under the
+/// same law as the scalar body. A run with a write side needs per-beat
+/// attention (delayed writes interleave with the reads), and a
+/// zero-byte run must fail in the scalar body, so both expand through
+/// [`scalar_beat`](DriverState::scalar_beat).
 fn drive_event(
     d: &mut DriverState,
     mem: &mut MemorySystem,
     reads: &mut dyn RequestSource,
     mut write_src: Option<&mut (dyn RequestSource + '_)>,
 ) -> Result<(), Fft2dError> {
-    while let Some(mut run) = reads.next_run() {
-        let mut probe = run.op.bytes > 0 && write_src.is_none();
-        while run.beats > 0 {
-            if probe && run.beats > 1 {
-                let probe_beat = d.probe_beat(run.op.bytes, run.beats);
-                let pacing = d.pacing(run.op.bytes, probe_beat);
-                match mem.service_paced_span(d.read_map, run, &pacing) {
-                    SpanOutcome::Served(served) => {
-                        d.apply_served(&served, run.op.bytes);
-                        run.op.addr += served.beats as u64 * run.stride;
-                        run.beats -= served.beats;
-                        continue;
-                    }
-                    SpanOutcome::Step => {}
-                    SpanOutcome::Scalar => probe = false,
-                }
-            }
-            d.scalar_beat(mem, write_src.as_deref_mut(), run.op)?;
-            run.op.addr += run.stride;
-            run.beats -= 1;
+    while let Some(run) = reads.next_run() {
+        if write_src.is_none() && run.op.bytes > 0 {
+            let pacing = d.pacing(run.op.bytes, d.probe_beat(run.op.bytes, run.beats));
+            let served = mem.service_span(d.read_map, run, &pacing)?;
+            d.apply_served(&served, run.beats as u64 * run.op.bytes as u64);
+            continue;
+        }
+        let mut op = run.op;
+        for _ in 0..run.beats {
+            d.scalar_beat(mem, write_src.as_deref_mut(), op)?;
+            op.addr += run.stride;
         }
     }
     Ok(())
@@ -914,6 +918,46 @@ mod tests {
             base.end.saturating_sub(base.start),
             "duration must not drift at large offsets"
         );
+    }
+
+    #[test]
+    fn invalid_kernel_rates_are_rejected() {
+        // NaN, infinities and negative rates are meaningless; a huge
+        // finite rate saturates the femtosecond rate and would overflow
+        // the driver clock.
+        let (mut mem, p) = setup(64);
+        let l = RowMajor::interleaved(&p);
+        for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 1e300] {
+            let cfg = DriverConfig {
+                ps_per_byte: rate,
+                ..driver()
+            };
+            let one_shot = run_phase(
+                &mut mem,
+                &cfg,
+                &mut row_phase_stream(&l, Direction::Read),
+                l.map_kind(),
+                None,
+                Picos::ZERO,
+            );
+            assert!(
+                matches!(one_shot, Err(Fft2dError::Driver(_))),
+                "{rate}: {one_shot:?}"
+            );
+            let resumable = ResumablePhase::new(
+                &mem,
+                &cfg,
+                Box::new(row_phase_stream(&l, Direction::Read)),
+                l.map_kind(),
+                None,
+                Picos::ZERO,
+            );
+            assert!(
+                matches!(resumable, Err(Fft2dError::Driver(_))),
+                "{rate}: rejected"
+            );
+        }
+        assert_eq!(mem.stats().requests, 0, "rejected phases touch nothing");
     }
 
     #[test]

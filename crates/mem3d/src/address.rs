@@ -364,11 +364,8 @@ impl AddressMap {
     /// (one element per DRAM row); recognizing it lets each bank's
     /// stretch resolve in one fused scheduling pass. Returns `None` for
     /// anything else — strides that are not whole rows, or strides that
-    /// hop vaults/banks under this interleaving. `None` is not final:
-    /// the span classifier (`MemorySystem::service_paced_span`) still
-    /// fuses row-multiple strides that hop banks as cross-bank
-    /// interleaved spans; this probe only decides whether the run stays
-    /// in one bank.
+    /// hop vaults/banks under this interleaving; the span primitive
+    /// (`MemorySystem::service_span`) then paces those beats one by one.
     pub fn stride_run_location(
         &self,
         addr: u64,

@@ -10,9 +10,9 @@ use crate::{
 const FS_PER_PS: u128 = 1_000;
 
 /// The closed-loop driver's pacing law for one run of requests, captured
-/// so [`VaultController::service_paced_run`] can advance the kernel
-/// consumption clock with **exactly** the driver's per-request integer
-/// arithmetic: beat arrivals are
+/// so [`MemorySystem::service_span`](crate::MemorySystem::service_span)
+/// can advance the kernel consumption clock with **exactly** the
+/// driver's per-request integer arithmetic: beat arrivals are
 /// `max(floor, (t_kernel_fs − window_fs) / 1000 ps)`, and after each
 /// beat `t_kernel_fs = max(t_kernel_fs, done·1000) + op_fs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,16 +31,13 @@ pub struct RunPacing {
     pub probe_beat: Option<u64>,
 }
 
-/// What a paced run hands back to the driver: the advanced kernel clock
+/// What a served run hands back to the driver: the advanced kernel clock
 /// and the completion times the driver observes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunServed {
-    /// Number of beats actually served — a prefix of the requested run
-    /// when it would have crossed into another bank.
-    pub beats: u32,
-    /// Kernel consumption clock (femtoseconds) after the served prefix.
+    /// Kernel consumption clock (femtoseconds) after the run.
     pub t_kernel_fs: u128,
-    /// Completion time of the prefix's last beat.
+    /// Latest completion time of any beat of the run.
     pub last_done: Picos,
     /// Completion time of [`RunPacing::probe_beat`], when requested.
     pub probe_done: Option<Picos>,
@@ -237,9 +234,9 @@ impl VaultController {
     /// single-element row misses — resolve at a few nanoseconds per
     /// beat instead of a full driver/system/controller round trip each.
     ///
-    /// The caller ([`crate::MemorySystem::service_paced_span`]) guarantees
-    /// the preconditions; they are debug-asserted here.
-    pub fn service_paced_run(
+    /// The caller ([`crate::MemorySystem::service_span`]) guarantees the
+    /// preconditions; they are debug-asserted here.
+    pub(crate) fn service_paced_run(
         &mut self,
         loc: Location,
         bytes: u32,
@@ -358,7 +355,6 @@ impl VaultController {
             Direction::Write => self.stats.bytes_written += extra * bytes as u64,
         }
         RunServed {
-            beats,
             t_kernel_fs: t_fs,
             last_done: done,
             probe_done,
@@ -554,7 +550,6 @@ mod tests {
             }
             last = out.done;
         }
-        assert_eq!(served.beats, beats, "controller serves all requested beats");
         assert_eq!(served.t_kernel_fs, t_fs, "kernel clock diverged");
         assert_eq!(served.last_done, last, "last completion diverged");
         assert_eq!(served.probe_done, probe, "probe diverged");

@@ -37,7 +37,7 @@
 //! # The request-servicing fast path
 //!
 //! Simulation wall clock is dominated by tens of millions of small
-//! requests, so the hot path is engineered around four ideas, each with
+//! requests, so the hot path is engineered around three ideas, each with
 //! a bit-identical scalar reference kept alongside it:
 //!
 //! * **shift/mask address maps** — [`AddressMap`] precomputes a
@@ -47,23 +47,17 @@
 //!   [`AddressMapKind`] and [`MemorySystem::service_burst`] decodes a
 //!   burst's start once, walking row fragments with incremental
 //!   location arithmetic ([`AddressMap::next_row_location`]);
-//! * **paced strided-run streaming** — the driver hands a whole strided
-//!   run ([`TraceRun`], from [`RequestSource::next_run`]) plus its
+//! * **one span primitive** — the driver hands a whole strided run
+//!   ([`TraceRun`], from [`RequestSource::next_run`]) plus its
 //!   kernel-clock pacing law ([`RunPacing`]) to
-//!   [`MemorySystem::service_paced_span`]; when the address map proves
-//!   every beat is a row miss in one bank with strictly ascending rows,
-//!   the controller ([`VaultController::service_paced_run`]) replays the
-//!   driver's exact per-beat arithmetic in a fused register-resident loop — the paper's worst-case strided
-//!   column sweep drops from a full round trip per element to a few
-//!   arithmetic operations;
-//! * **event-driven span classification** —
-//!   [`MemorySystem::service_paced_span`] classifies a whole pulled run
-//!   against controller state and either fuses it (same-bank closed
-//!   form, or the cross-bank interleaved spans the optimized dynamic
-//!   layouts emit), asks the driver to step one scalar beat at a
-//!   contention boundary ([`SpanOutcome::Step`]), or declares the run
-//!   shape unfusable so the driver stops probing
-//!   ([`SpanOutcome::Scalar`] — the amortized run-probe gate).
+//!   [`MemorySystem::service_span`], which serves all of it: every
+//!   stretch the address map proves is a row miss in one bank with
+//!   strictly ascending rows resolves in the controller's fused
+//!   closed-form loop — the paper's worst-case strided column sweep
+//!   drops from a full round trip per element to a few arithmetic
+//!   operations — and every other beat (cross-bank strides, refresh,
+//!   the reference path) runs through one per-beat paced loop over
+//!   [`MemorySystem::service_burst`].
 //!
 //! [`ServicePath`] selects between the fast path (the default) and the
 //! original scalar implementation; differential property tests assert
@@ -110,7 +104,7 @@ pub use error::{Error, Result};
 pub use geometry::{Geometry, Location};
 pub use request::{Direction, Request, RequestOutcome};
 pub use stats::{BandwidthReport, Stats};
-pub use system::{MemorySystem, ServicePath, SpanOutcome};
+pub use system::{MemorySystem, ServicePath};
 pub use timing::{Picos, TimingParams};
 pub use trace::{
     replay_stream, AccessTrace, RequestSource, StridedSource, TraceOp, TraceRun, TraceStats,

@@ -10,31 +10,6 @@ use crate::{
 /// integer femtoseconds; see `fft2d::run_phase`).
 const FS_PER_PS: u128 = 1_000;
 
-/// What the skip-ahead span classifier
-/// ([`MemorySystem::service_paced_span`]) decided about a pulled run.
-///
-/// The three variants encode how much of the run the driver should hand
-/// back to its scalar beat loop — in particular,
-/// [`Scalar`](SpanOutcome::Scalar) is the **amortized run-probe gate**:
-/// it tells the driver the run can *never* fuse, so the remainder costs
-/// one branch per beat instead of a failed classification attempt per
-/// beat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanOutcome {
-    /// A conflict-free span was advanced in one fused pass; the served
-    /// prefix (possibly the whole run) is described by the payload.
-    Served(RunServed),
-    /// Not fusable *at this position* (e.g. the last beat before a bank
-    /// stretch boundary): step exactly one scalar beat, then re-attempt
-    /// classification with the remainder.
-    Step,
-    /// Structurally ineligible — no position of this run will ever
-    /// fuse (wrong service path, empty beats, beats that split across
-    /// rows, strides that are not whole rows). Expand the whole
-    /// remainder through the scalar loop without re-probing.
-    Scalar,
-}
-
 /// Which request-servicing implementation the system uses.
 ///
 /// [`Fast`](ServicePath::Fast) is the default: cached shift/mask address
@@ -384,145 +359,109 @@ impl MemorySystem {
         Ok(RequestOutcome { data_start, ..out })
     }
 
-    /// Classifies a pulled run against register-resident controller
-    /// state and advances the clock across the longest conflict-free
-    /// span it can prove — the entry point of the **event-driven
-    /// skip-ahead core** the phase driver (`fft2d::run_phase`) and
-    /// open-loop [`replay_stream`](crate::replay_stream) use on the
-    /// [`Fast`](ServicePath::Fast) path.
+    /// Serves a whole pulled run under the driver's pacing law — the
+    /// one servicing primitive of the phase driver (`fft2d::run_phase`)
+    /// and open-loop [`replay_stream`](crate::replay_stream).
     ///
-    /// Span classes, in the order they are tried:
+    /// Beat *i* accesses `run.op.addr + i·stride` and arrives at
+    /// `max(floor, (t − window_fs) / 1000 ps)`; after it completes the
+    /// kernel clock becomes `t = max(t, done·1000) + op_fs` (see
+    /// [`RunPacing`]). On the [`Fast`](ServicePath::Fast) path with
+    /// refresh off, every stretch that
+    /// [`AddressMap::stride_run_location`] proves is a same-bank
+    /// ascending-row sweep of at least two beats (the baseline's strided
+    /// column walk) resolves in the controller's closed-form fused loop;
+    /// a one-beat stretch is served as one paced beat and the remainder
+    /// is classified again. Every other beat — cross-bank strides, beats
+    /// that cross a row, refresh windows, the
+    /// [`Reference`](ServicePath::Reference) path — goes through one
+    /// per-beat loop over [`service_burst`](Self::service_burst).
     ///
-    /// 1. **Same-bank ascending-row spans** — refresh off and
-    ///    [`AddressMap::stride_run_location`] proves every beat is a row
-    ///    miss in one bank with strictly ascending rows (the baseline's
-    ///    strided column sweep): the bank stretch resolves in the
-    ///    controller's closed-form fused loop
-    ///    ([`VaultController::service_paced_run`]); a run crossing into
-    ///    the next bank is served stretch by stretch.
-    /// 2. **Cross-bank interleaved spans** — whole-row-aligned strides
-    ///    whose beats hop banks/layers/vaults each beat (the optimized
-    ///    DDL layouts' grouped column phase emits these as runs of full
-    ///    8 KiB row bursts): the whole run is fused at system level
-    ///    with one incremental decode + controller dispatch per beat,
-    ///    skipping the per-beat driver round trip. Refresh windows and
-    ///    TSV saturation crossings are *inside* the per-beat schedule,
-    ///    so this class stays exact with refresh enabled.
+    /// Bit-identical on both paths, in the returned clock and completion
+    /// times, the statistics and the controller state; the differential
+    /// suite (`tests/hotpath_equivalence.rs`) proves it.
     ///
-    /// Everything else falls back: [`SpanOutcome::Step`] when only the
-    /// current position blocks fusion (one scalar beat, then retry),
-    /// [`SpanOutcome::Scalar`] when the run's shape can never fuse (the
-    /// amortized probe gate — the driver stops asking).
+    /// # Errors
     ///
-    /// Every fused span is bit-identical — in outcomes, statistics and
-    /// controller state — to the driver's scalar per-beat loop under
-    /// the same pacing law; the differential suite
-    /// (`tests/hotpath_equivalence.rs`) proves it across every
-    /// skip→step transition.
-    pub fn service_paced_span(
+    /// Returns the first failing beat's error ([`Error::OutOfRange`],
+    /// [`Error::BadRequest`]). The beats before it stay served and the
+    /// failing beat leaves no trace, identically on both paths.
+    pub fn service_span(
         &mut self,
         map_kind: AddressMapKind,
         run: TraceRun,
         pacing: &RunPacing,
-    ) -> SpanOutcome {
-        if self.path != ServicePath::Fast || run.beats < 2 || run.op.bytes == 0 {
-            return SpanOutcome::Scalar;
-        }
+    ) -> Result<RunServed> {
+        let TraceRun {
+            mut op,
+            beats,
+            stride,
+        } = run;
+        let beats = beats as u64;
         let row_bytes = self.geom.row_bytes as u64;
-        // Each beat must stay inside its row: the fused loops never
-        // split a beat into fragments. With a row-aligned stride this
-        // holds for every beat once it holds for the first.
-        if run.op.addr % row_bytes + run.op.bytes as u64 > row_bytes {
-            return SpanOutcome::Scalar;
-        }
-        // Class 1: same-bank ascending rows, closed form (refresh
-        // windows would interleave the fused schedule, so they decline).
-        if !self.timing.refresh_enabled() {
-            if let Some((loc, row_step, fit)) =
-                self.maps[map_kind.index()].stride_run_location(run.op.addr, run.stride, run.beats)
-            {
-                if fit >= 2 {
-                    return SpanOutcome::Served(self.controllers[loc.vault].service_paced_run(
-                        loc,
-                        run.op.bytes,
-                        run.op.dir,
-                        row_step,
-                        fit,
-                        pacing,
-                    ));
-                }
-                // One beat left in this bank stretch: serve it scalar,
-                // then the next stretch fuses.
-                return SpanOutcome::Step;
-            }
-        }
-        // Class 2: cross-bank interleaved rows. The stride must be a
-        // whole number of memory rows (so every beat keeps the first
-        // beat's in-row offset) and the whole run must fit the device
-        // (so the per-beat decode cannot fail).
-        let span = (run.beats as u64 - 1).checked_mul(run.stride);
-        let end = span.and_then(|s| run.op.addr.checked_add(s + run.op.bytes as u64 - 1));
-        if run.stride > 0
-            && run.stride.is_multiple_of(row_bytes)
-            && end.is_some_and(|e| e < self.capacity)
-        {
-            return SpanOutcome::Served(self.service_paced_xrun(map_kind, run, pacing));
-        }
-        SpanOutcome::Scalar
-    }
-
-    /// Fuses a **cross-bank interleaved run**: `run.beats` single-row
-    /// beats whose whole-row stride hops banks/layers/vaults from beat
-    /// to beat, each arrival derived from the driver's kernel clock per
-    /// `pacing`. Exactly equivalent to the driver's scalar loop calling
-    /// [`service_burst`](Self::service_burst) once per beat — the same
-    /// decode and the same per-beat controller schedule — but with the
-    /// pacing law replicated in-register and none of the per-beat
-    /// driver/stream bookkeeping. Unlike the same-bank closed form this
-    /// keeps the full per-beat schedule, so contention boundaries
-    /// (refresh windows, TSV saturation crossings, bank conflicts)
-    /// resolve inside it without a fallback.
-    ///
-    /// Preconditions (caller-checked): fast path, `beats ≥ 2`,
-    /// `bytes > 0`, beat fits its row, `stride` a positive multiple of
-    /// the row size, whole run inside the device.
-    fn service_paced_xrun(
-        &mut self,
-        map_kind: AddressMapKind,
-        run: TraceRun,
-        pacing: &RunPacing,
-    ) -> RunServed {
-        let map = self.maps[map_kind.index()];
+        // The closed form never splits a beat into fragments; with a
+        // row-aligned stride a beat fits its row iff the first one does.
+        let mut fuse = self.path == ServicePath::Fast
+            && !self.timing.refresh_enabled()
+            && op.bytes > 0
+            && op.addr % row_bytes + op.bytes as u64 <= row_bytes;
         let mut t_fs = pacing.t_kernel_fs;
-        let mut addr = run.op.addr;
-        let mut probe_done = None;
         // Beats on different vaults need not complete in order; the
-        // driver observes the span's *latest* completion.
+        // driver observes the run's *latest* completion.
         let mut last_done = Picos::ZERO;
-        for i in 0..run.beats as u64 {
-            let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
-            // simlint::allow(P001): the whole run was bounds-checked by
-            // `service_paced_span`, so every beat address decodes.
-            let loc = map.decode(addr).expect("in-bounds beat");
-            let out = self.controllers[loc.vault].service(Request {
-                loc,
-                bytes: run.op.bytes,
-                dir: run.op.dir,
-                at,
-            });
-            t_fs = t_fs.max(out.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
-            last_done = last_done.max(out.done);
-            if pacing.probe_beat == Some(i) {
-                probe_done = Some(out.done);
+        let mut probe_done = None;
+        let mut i = 0;
+        while i < beats {
+            if fuse && beats - i >= 2 {
+                // `beats - i` came from a u32, so the cast is lossless.
+                match self.maps[map_kind.index()].stride_run_location(
+                    op.addr,
+                    stride,
+                    (beats - i) as u32,
+                ) {
+                    Some((loc, row_step, fit)) if fit >= 2 => {
+                        let served = self.controllers[loc.vault].service_paced_run(
+                            loc,
+                            op.bytes,
+                            op.dir,
+                            row_step,
+                            fit,
+                            &RunPacing {
+                                t_kernel_fs: t_fs,
+                                probe_beat: pacing.probe_beat.and_then(|p| p.checked_sub(i)),
+                                ..*pacing
+                            },
+                        );
+                        t_fs = served.t_kernel_fs;
+                        last_done = last_done.max(served.last_done);
+                        probe_done = probe_done.or(served.probe_done);
+                        i += fit as u64;
+                        op.addr += fit as u64 * stride;
+                        continue;
+                    }
+                    // One beat left in this bank stretch: pace it below,
+                    // then the next stretch is classified again.
+                    Some(_) => {}
+                    // Stride and shape never change along a run, so a
+                    // run that cannot fuse here never will.
+                    None => fuse = false,
+                }
             }
-            addr += run.stride;
+            let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
+            let done = self.service_burst(map_kind, op, at)?.done;
+            t_fs = t_fs.max(done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
+            last_done = last_done.max(done);
+            if pacing.probe_beat == Some(i) {
+                probe_done = Some(done);
+            }
+            i += 1;
+            op.addr += stride;
         }
-        RunServed {
-            beats: run.beats,
+        Ok(RunServed {
             t_kernel_fs: t_fs,
             last_done,
             probe_done,
-        }
+        })
     }
 
     /// Aggregated statistics across all vaults.
@@ -578,116 +517,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn span_classification_falls_back_correctly() {
-        let geom = Geometry::default();
-        let mut m = sys();
-        let row = geom.row_bytes as u64;
-        let pacing = RunPacing {
-            t_kernel_fs: 0,
-            window_fs: 0,
-            op_fs: 8_000,
-            floor: Picos::ZERO,
-            probe_beat: None,
-        };
-        // Structurally unfusable shapes gate the probe off: zero-byte
-        // beats, single beats, beats crossing a row boundary, strides
-        // that are not a whole number of memory rows, runs past the
-        // device end.
-        let kind = AddressMapKind::Chunked;
-        for run in [
-            read_run(0, 0, 8, row),
-            read_run(0, 8, 1, row),
-            read_run(row - 4, 8, 8, row),
-            read_run(0, 8, 8, row + 8),
-        ] {
-            assert_eq!(
-                m.service_paced_span(kind, run, &pacing),
-                SpanOutcome::Scalar,
-                "{run:?}"
-            );
+    /// The pacing law applied beat by beat through `service_burst` — the
+    /// scalar oracle `service_span` must reproduce exactly.
+    fn paced_beat_loop(
+        m: &mut MemorySystem,
+        kind: AddressMapKind,
+        run: TraceRun,
+        pacing: &RunPacing,
+    ) -> Result<RunServed> {
+        let mut t_fs = pacing.t_kernel_fs;
+        let mut last_done = Picos::ZERO;
+        let mut probe_done = None;
+        let mut op = run.op;
+        for i in 0..run.beats as u64 {
+            let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
+            let done = m.service_burst(kind, op, at)?.done;
+            t_fs = t_fs.max(done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
+            last_done = last_done.max(done);
+            if pacing.probe_beat == Some(i) {
+                probe_done = Some(done);
+            }
+            op.addr += run.stride;
         }
-        // The Reference path never fuses.
-        let mut r = sys();
-        r.set_service_path(ServicePath::Reference);
-        assert_eq!(
-            r.service_paced_span(kind, read_run(0, 8, 8, row), &pacing),
-            SpanOutcome::Scalar
-        );
-        // Same shape on the fast path: a same-bank ascending-row span.
-        assert!(matches!(
-            m.service_paced_span(kind, read_run(0, 8, 8, row), &pacing),
-            SpanOutcome::Served(_)
-        ));
-        // Last row of a bank: the classifier proves a one-beat stretch —
-        // step it scalar, then the next bank's stretch fuses.
-        let last_row = (geom.rows_per_bank as u64 - 1) * row;
-        assert_eq!(
-            m.service_paced_span(kind, read_run(last_row, 8, 8, row), &pacing),
-            SpanOutcome::Step
-        );
-        // A run leaving the device also steps: the one in-range beat is
-        // served scalar and the next beat raises the same OutOfRange the
-        // Reference pipeline would.
-        assert_eq!(
-            m.service_paced_span(
-                kind,
-                read_run(geom.capacity_bytes() - row, 8, 8, row),
-                &pacing
-            ),
-            SpanOutcome::Step
-        );
+        Ok(RunServed {
+            t_kernel_fs: t_fs,
+            last_done,
+            probe_done,
+        })
     }
 
     #[test]
-    fn cross_bank_span_matches_the_scalar_beat_loop() {
-        // Class-2 spans (whole-row strides hopping vaults each beat —
-        // the grouped block-DDL column walk) must replay the driver's
-        // per-beat arithmetic exactly, with refresh off *and* on, under
-        // kernel pacing and under open-loop replay's unbounded window.
+    fn service_span_matches_the_paced_beat_loop() {
+        // Every run shape — the fused same-bank stretches, the one-beat
+        // stretch at a bank's last row, cross-bank and non-row strides,
+        // row-crossing beats and the error cases — must equal the scalar
+        // loop on a Reference twin: in the served clock and completion
+        // times, the statistics and the returned error, on both service
+        // paths, with refresh off and on, under kernel pacing and
+        // open-loop replay.
         let geom = Geometry::default();
+        let row = geom.row_bytes as u64;
+        let cap = geom.capacity_bytes();
+        let last_row = (geom.rows_per_bank as u64 - 1) * row;
+        let shapes = [
+            read_run(0, 0, 8, row),                      // zero-byte beats
+            read_run(3 * row, 8, 1, 0),                  // one beat
+            read_run(row - 4, 8, 8, row),                // beats cross a row
+            read_run(0, 8, 8, row + 8),                  // non-row stride
+            read_run(0, 8, 64, row),                     // same-bank stretch
+            read_run(last_row, 8, 8, row),               // last row of a bank
+            read_run(cap - 3 * row, 8, 8, row),          // off the device end
+            read_run(3 * row, row as u32, 64, 16 * row), // cross-bank whole rows
+        ];
         let paced = RunPacing {
             t_kernel_fs: 5_000_000,
             window_fs: 2_000_000,
-            op_fs: geom.row_bytes as u128 * 31_250,
-            floor: Picos(100),
-            probe_beat: Some(7),
+            op_fs: 31_250 * 8,
+            // Above the first arrivals' window edge, so the floor binds.
+            floor: Picos(4_000),
+            probe_beat: Some(3),
         };
-        let kind = AddressMapKind::VaultInterleaved;
-        let row = geom.row_bytes as u64;
-        let run = read_run(3 * row, geom.row_bytes as u32, 64, row);
         for timing in [
             TimingParams::default(),
             TimingParams::default().with_refresh(),
         ] {
-            for pacing in [paced, crate::trace::OPEN_LOOP] {
-                let mut fused = MemorySystem::new(geom, timing);
-                let mut scalar = MemorySystem::new(geom, timing);
-                let outcome = fused.service_paced_span(kind, run, &pacing);
-                let SpanOutcome::Served(served) = outcome else {
-                    panic!("expected a fused cross-bank span, got {outcome:?}");
-                };
-                // The driver's scalar loop, replayed on a twin device.
-                let mut t_fs = pacing.t_kernel_fs;
-                let mut last = Picos::ZERO;
-                let mut probe = None;
-                let mut op = run.op;
-                for i in 0..run.beats as u64 {
-                    let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs))
-                        .max(pacing.floor);
-                    let out = scalar.service_burst(kind, op, at).unwrap();
-                    t_fs = t_fs.max(out.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
-                    last = last.max(out.done);
-                    if pacing.probe_beat == Some(i) {
-                        probe = Some(out.done);
+            for path in [ServicePath::Fast, ServicePath::Reference] {
+                for pacing in [paced, crate::trace::OPEN_LOOP] {
+                    for kind in AddressMapKind::ALL {
+                        for run in shapes {
+                            let mut span = MemorySystem::new(geom, timing);
+                            span.set_service_path(path);
+                            let mut oracle = MemorySystem::new(geom, timing);
+                            oracle.set_service_path(ServicePath::Reference);
+                            let got = span.service_span(kind, run, &pacing);
+                            let want = paced_beat_loop(&mut oracle, kind, run, &pacing);
+                            let case = format!("{path:?} {kind:?} {run:?} {pacing:?}");
+                            assert_eq!(got, want, "{case}");
+                            assert_eq!(span.stats(), oracle.stats(), "{case}");
+                        }
                     }
-                    op.addr += run.stride;
                 }
-                assert_eq!(served.beats, run.beats);
-                assert_eq!(served.t_kernel_fs, t_fs);
-                assert_eq!(served.last_done, last);
-                assert_eq!(served.probe_done, probe);
-                assert_eq!(fused.stats(), scalar.stats());
             }
         }
     }

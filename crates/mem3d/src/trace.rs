@@ -19,9 +19,7 @@
 //!   [`RequestSource`], and [`RequestSource::collect_trace`] goes the
 //!   other way, so the two forms are freely interchangeable.
 
-use crate::{
-    AddressMapKind, Direction, MemorySystem, Picos, Result, RunPacing, SpanOutcome, Stats,
-};
+use crate::{AddressMapKind, Direction, MemorySystem, Picos, Result, RunPacing, Stats};
 
 /// One logical access of a request stream or an [`AccessTrace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +38,8 @@ pub struct TraceOp {
 ///
 /// A run carries no timing — it is purely an access-pattern
 /// descriptor. Consumers that cannot exploit the structure simply
-/// iterate the beats; [`MemorySystem::service_paced_span`] resolves a
-/// whole strided run in one fused pass.
+/// iterate the beats; [`MemorySystem::service_span`] serves a whole
+/// strided run in one call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRun {
     /// The first beat.
@@ -241,12 +239,10 @@ pub(crate) const OPEN_LOOP: RunPacing = RunPacing {
 /// runs flat out (memory-bound bandwidth measurement). Constant memory
 /// regardless of stream length.
 ///
-/// Each pulled [`TraceRun`] is offered to the phase driver's span
-/// primitive, [`MemorySystem::service_paced_span`], with an unbounded
-/// prefetch window; whatever it does not fuse is serviced beat by beat
-/// through [`MemorySystem::service_burst`], behind the same amortized
-/// probe gate the closed-loop driver uses. Fused spans are bit-identical
-/// to servicing every op in stream order.
+/// Each pulled [`TraceRun`] is served whole by the phase driver's span
+/// primitive, [`MemorySystem::service_span`], with an unbounded
+/// prefetch window — bit-identical to servicing every op in stream
+/// order.
 ///
 /// Statistics accumulated in `mem` before the call are not cleared;
 /// call [`MemorySystem::reset_stats`] first for an isolated
@@ -254,9 +250,9 @@ pub(crate) const OPEN_LOOP: RunPacing = RunPacing {
 ///
 /// # Errors
 ///
-/// Returns the first address-decoding error. Spans fuse only beats that
-/// were bounds-checked up front, so on error the [`ServicePath::Fast`]
-/// and [`ServicePath::Reference`] paths have serviced the same prefix.
+/// Returns the first address-decoding error. The span stops at the
+/// failing beat, so on error the [`ServicePath::Fast`] and
+/// [`ServicePath::Reference`] paths have serviced the same prefix.
 ///
 /// [`ServicePath::Fast`]: crate::ServicePath::Fast
 /// [`ServicePath::Reference`]: crate::ServicePath::Reference
@@ -267,25 +263,8 @@ pub fn replay_stream(
 ) -> Result<TraceStats> {
     let before = mem.stats();
     let mut makespan = Picos::ZERO;
-    while let Some(mut run) = src.next_run() {
-        let mut probe = run.op.bytes > 0;
-        while run.beats > 0 {
-            if probe && run.beats > 1 {
-                match mem.service_paced_span(map_kind, run, &OPEN_LOOP) {
-                    SpanOutcome::Served(served) => {
-                        makespan = makespan.max(served.last_done);
-                        run.op.addr += served.beats as u64 * run.stride;
-                        run.beats -= served.beats;
-                        continue;
-                    }
-                    SpanOutcome::Step => {}
-                    SpanOutcome::Scalar => probe = false,
-                }
-            }
-            makespan = makespan.max(mem.service_burst(map_kind, run.op, Picos::ZERO)?.done);
-            run.op.addr += run.stride;
-            run.beats -= 1;
-        }
+    while let Some(run) = src.next_run() {
+        makespan = makespan.max(mem.service_span(map_kind, run, &OPEN_LOOP)?.last_done);
     }
     Ok(TraceStats {
         stats: mem.stats().delta(&before),
@@ -472,10 +451,10 @@ mod tests {
         ]
     }
 
-    /// Run-emitting streams covering every span outcome: same-bank
-    /// ascending rows (class 1) with bank crossings and one-beat
-    /// stretches (`Step`), whole-row bursts hopping banks (class 2),
-    /// non-row strides and row-splitting beats (`Scalar`).
+    /// Run-emitting streams covering every span shape: same-bank
+    /// ascending rows (fused) with bank crossings and one-beat
+    /// stretches, whole-row bursts hopping banks, non-row strides and
+    /// row-splitting beats (all paced beat by beat).
     fn run_sources(g: &Geometry) -> Vec<Runs> {
         let row = g.row_bytes as u64;
         let rows = g.capacity_bytes() / row;

@@ -2,9 +2,6 @@
 # Tier-1 gate: the whole workspace must build, test, lint and stay
 # formatted fully offline (zero-external-dependency policy — see
 # DESIGN.md).
-#
-# Note: the workspace root is also a package, so a bare `cargo test`
-# would only run the umbrella crate; always pass --workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

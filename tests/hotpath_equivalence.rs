@@ -7,14 +7,14 @@
 //! layouts, geometries and driver configurations. If this holds, the
 //! hot-path overhaul is invisible to every consumer.
 
-use fft2d::{run_phase, DriverConfig, PhaseReport};
+use fft2d::{run_phase, DriverConfig, Fft2dError, PhaseReport};
 use layout::{
     band_block_write_stream, col_phase_stream, row_phase_stream, tile_band_write_stream,
     tile_sweep_stream, BlockDynamic, LayoutParams, MatrixLayout, RowMajor, Tiled,
 };
 use mem3d::{
     AddressMapKind, Direction, Geometry, MemorySystem, Picos, RequestSource, ServicePath,
-    TimingParams, TraceOp,
+    StridedSource, TimingParams, TraceOp,
 };
 use sim_util::{par_check, prop_assert, prop_assert_eq};
 
@@ -208,11 +208,11 @@ fn fast_and_reference_phases_are_byte_identical() {
 fn event_core_fallback_boundaries_are_byte_identical() {
     // The skip-ahead core's contention boundaries, each differentially
     // proven against the Reference pipeline: refresh windows (always on
-    // here — the same-bank classifier declines, cross-bank spans stay
-    // fused *through* them), TSV-saturation crossings (kernel rates
+    // here — the same-bank closed form declines, every span is paced
+    // beat by beat *through* them), TSV-saturation crossings (kernel rates
     // from far-memory-bound to far-kernel-bound, windows from a few
     // beats to effectively unbounded) and non-power-of-two geometries
-    // (div/mod decode underneath the span classifier).
+    // (div/mod decode underneath `service_span`).
     par_check!(cases: 64, |rng| {
         let n = 1usize << rng.gen_range(4u32..8); // 16..=128
         let cfg = DriverConfig {
@@ -229,7 +229,7 @@ fn event_core_fallback_boundaries_are_byte_identical() {
 
         let (fast, reference, mem_fast, mem_ref) = match rng.gen_range(0usize..3) {
             // Grouped block-DDL column phase: whole-row cross-bank runs
-            // fused through refresh windows.
+            // paced through refresh windows.
             0 => {
                 let geom = Geometry::default();
                 let p = LayoutParams::for_device(n, &geom, &timing);
@@ -251,8 +251,8 @@ fn event_core_fallback_boundaries_are_byte_identical() {
                 r
             }
             // Baseline strided sweep on a non-power-of-two geometry
-            // sized to hold the matrix: row-multiple strides fuse as
-            // cross-bank spans, the rest hits the run-probe gate.
+            // sized to hold the matrix: row-multiple and odd strides
+            // alike go through the span's per-beat loop.
             1 => {
                 let vaults = rng.gen_range(1usize..12);
                 let layers = rng.gen_range(1usize..5);
@@ -321,6 +321,41 @@ fn event_core_fallback_boundaries_are_byte_identical() {
             n
         );
     });
+}
+
+#[test]
+fn zero_byte_reads_fail_identically_on_both_paths() {
+    // A run of empty beats must surface the same BadRequest through the
+    // event core as through the reference pipeline, and leave both
+    // devices untouched.
+    let geom = Geometry::default();
+    let cfg = DriverConfig {
+        ps_per_byte: 31.25,
+        window_bytes: 1 << 16,
+        write_delay: Picos::ZERO,
+        latency_probe_bytes: 64,
+    };
+    let mut results = Vec::new();
+    for path in [ServicePath::Fast, ServicePath::Reference] {
+        let mut mem = MemorySystem::new(geom, TimingParams::default());
+        mem.set_service_path(path);
+        let mut reads = StridedSource::read(0, 0, geom.row_bytes as u64, 8);
+        let r = run_phase(
+            &mut mem,
+            &cfg,
+            &mut reads,
+            AddressMapKind::Chunked,
+            None,
+            Picos::ZERO,
+        );
+        assert!(
+            matches!(r, Err(Fft2dError::Mem(mem3d::Error::BadRequest(_)))),
+            "{path:?}: {r:?}"
+        );
+        assert_eq!(mem.stats().requests, 0, "{path:?}");
+        results.push(r);
+    }
+    assert_eq!(results[0], results[1]);
 }
 
 #[test]
